@@ -51,7 +51,9 @@ using namespace coca;
          "  --protocol P           protocol target (default PiZ)\n"
          "  --seed S               base input seed (default 0x7B06)\n"
          "  --out FILE             write the coca-bench-v1 JSON to FILE\n"
-         "  --per-instance-out F   write deterministic per-instance metrics\n";
+         "                         (default or \"-\": stdout)\n"
+         "  --per-instance-out F   write deterministic per-instance metrics\n"
+         "                         (\"-\": stdout)\n";
   std::exit(2);
 }
 
@@ -269,7 +271,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (out_path.empty()) {
+  if (out_path.empty() || out_path == "-") {
     write_json(std::cout, cfg, rows);
   } else {
     std::ofstream out(out_path);
@@ -279,7 +281,9 @@ int main(int argc, char** argv) {
     }
     write_json(out, cfg, rows);
   }
-  if (!per_instance_path.empty()) {
+  if (per_instance_path == "-") {
+    write_per_instance_json(std::cout, cfg, reference);
+  } else if (!per_instance_path.empty()) {
     std::ofstream out(per_instance_path);
     if (!out) {
       std::cerr << "bench_throughput: cannot write " << per_instance_path

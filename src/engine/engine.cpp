@@ -4,7 +4,6 @@
 #include <chrono>
 #include <thread>
 
-#include "engine/kernel_batch.h"
 #include "engine/spsc_ring.h"
 #include "net/sync_network.h"
 #include "util/rng.h"
@@ -83,13 +82,8 @@ EngineReport Engine::run(const std::vector<adv::FuzzCase>& cases) {
 
   // Workers: instance i runs on worker i % W. All of an instance's
   // protocol work happens on its worker via its own private SyncNetwork;
-  // the only cross-thread traffic is the lane. A worker holding several
-  // instances either runs them sequentially or -- when kernel batching is
-  // on -- as cooperative fibers whose RS/Merkle kernels flush through the
-  // batch entry points (bit-identical outputs either way).
-  const bool batch = options_.batch_kernels && !options_.trace &&
-                     net::fibers_available();
-  std::vector<KernelBatchStats> batch_stats(workers);
+  // the only cross-thread traffic is the lane. A worker runs its instances
+  // one after another.
   std::vector<std::thread> pool;
   pool.reserve(workers);
   for (std::size_t wi = 0; wi < workers; ++wi) {
@@ -113,18 +107,7 @@ EngineReport Engine::run(const std::vector<adv::FuzzCase>& cases) {
         }
         observer.finish();
       };
-      std::vector<std::size_t> mine;
-      for (std::size_t i = wi; i < kk; i += workers) mine.push_back(i);
-      if (batch && mine.size() > 1) {
-        std::vector<std::function<void()>> work;
-        work.reserve(mine.size());
-        for (const std::size_t i : mine) {
-          work.push_back([&run_one, i] { run_one(i); });
-        }
-        batch_stats[wi] = run_batched(std::move(work));
-      } else {
-        for (const std::size_t i : mine) run_one(i);
-      }
+      for (std::size_t i = wi; i < kk; i += workers) run_one(i);
     });
   }
 
@@ -153,7 +136,6 @@ EngineReport Engine::run(const std::vector<adv::FuzzCase>& cases) {
     if (idle) std::this_thread::yield();
   }
   for (std::thread& th : pool) th.join();
-  for (const KernelBatchStats& s : batch_stats) report.kernel_batch += s;
 
   report.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -230,6 +212,11 @@ IsolationReport check_isolation(const adv::FuzzCase& victim,
         a.honest_messages != b.honest_messages || a.rounds != b.rounds) {
       report.violations.push_back("isolation: " + who +
                                   " honest_bytes/messages/rounds differ");
+    }
+    if (a.payload_copies != b.payload_copies ||
+        a.payload_bytes_copied != b.payload_bytes_copied) {
+      report.violations.push_back("isolation: " + who +
+                                  " payload_copies/bytes_copied differ");
     }
     if (a.phase_breakdown != b.phase_breakdown) {
       report.violations.push_back("isolation: " + who +

@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "adversary/fuzzer.h"
-#include "engine/kernel_batch.h"
 #include "obs/obs.h"
 
 namespace coca::engine {
@@ -47,14 +46,14 @@ struct EngineOptions {
   /// Attach a per-instance canonical-mode Tracer (timing off) and fold the
   /// registries into EngineReport::metrics in instance order.
   bool trace = false;
-  /// Batch compute kernels across the instances sharing a worker: run them
-  /// as cooperative fibers (engine/kernel_batch.h) so concurrent RS
-  /// encodes and Merkle builds execute through `encode_batch` /
-  /// `build_views_batch` -- bit-identical outputs, amortized kernel setup.
-  /// Takes effect only when a worker holds > 1 instance, tracing is off
-  /// (batching collapses per-call spans into per-flush spans), and ucontext
-  /// fibers are available; otherwise instances run plain sequentially.
-  bool batch_kernels = true;
+};
+
+/// Always zero. Kept only because the perfbench harness reads these fields;
+/// remove them with the harness's next revision.
+struct KernelBatchStats {
+  std::uint64_t flushes = 0;
+  std::uint64_t rs_calls = 0;
+  std::uint64_t merkle_calls = 0;
 };
 
 /// One delivered round, streamed over an instance's lane while the
@@ -91,9 +90,7 @@ struct EngineReport {
   std::vector<std::uint64_t> honest_bytes_by_round;
   /// Folded per-instance metrics in instance order (empty unless trace).
   obs::MetricsRegistry metrics;
-  /// Summed over workers: what the kernel batcher actually served. All
-  /// zero when batching was off or never took effect.
-  KernelBatchStats kernel_batch;
+  KernelBatchStats kernel_batch;  // always zero, see KernelBatchStats
   double seconds = 0.0;  // wall clock, the only schedule-dependent field
 };
 
@@ -132,10 +129,10 @@ struct IsolationReport {
 /// Runs `victim` inside a sharded engine surrounded by honest neighbor
 /// instances (same protocol/n/ell, derived seeds, no corruption, no
 /// faults), and checks every neighbor against its own solo SyncNetwork run:
-/// transcript, honest_bytes/messages/rounds, phase_breakdown, and oracle
-/// violations must all be bit-identical. Equality-based on purpose: it
-/// stays two-sided-correct even on builds (e.g. COCA_CANARY_BUG) where the
-/// solo baseline itself fails the oracle.
+/// transcript, honest_bytes/messages/rounds, payload_copies/bytes_copied,
+/// phase_breakdown, and oracle violations must all be bit-identical.
+/// Equality-based on purpose: it stays two-sided-correct even on builds
+/// (e.g. COCA_CANARY_BUG) where the solo baseline itself fails the oracle.
 IsolationReport check_isolation(const adv::FuzzCase& victim,
                                 const ShardedCaseOptions& options);
 

@@ -88,8 +88,6 @@ bool fibers_enabled() {
 
 }  // namespace
 
-bool fibers_available() { return fibers_enabled(); }
-
 std::vector<Envelope> first_per_sender(const std::vector<Envelope>& inbox) {
   // View copies only (refcount bumps); the rvalue overload does the work.
   return first_per_sender(std::vector<Envelope>(inbox));

@@ -85,12 +85,6 @@ constexpr std::uint64_t runner_stream_key(int party,
          static_cast<std::uint64_t>(runner_index);
 }
 
-/// True when the ucontext fiber backend is usable in this build/run
-/// (false under ThreadSanitizer or COCA_NO_FIBERS). Exposed for other
-/// cooperative schedulers built on the same primitive -- the engine's
-/// kernel-batch co-scheduler gates on it.
-bool fibers_available();
-
 /// A delivered message with its authenticated sender. The payload is a
 /// shared view: all recipients of one `send_all` alias one buffer.
 struct Envelope {

@@ -167,26 +167,33 @@ TEST(GF16, MulBeAndAxpyBeMatchScalarLoop) {
   const GF16& f = GF16::instance();
   Rng rng(92);
   // Sizes straddle the 8-bytes-per-iteration wide loop: remainders 0..7
-  // plus single-symbol and empty buffers.
+  // plus single-symbol and empty buffers, and the 512-byte share size where
+  // RS encode switches to these kernels. Coefficients: a random one plus
+  // the zero and identity edges.
   for (const std::size_t bytes : {0u, 2u, 6u, 8u, 10u, 14u, 16u, 18u, 24u,
-                                  30u, 64u, 66u, 126u, 1024u, 1030u}) {
-    const auto c = static_cast<GF16::Elem>(rng.next_u64());
-    const MulBy by_c(f, c);
-    const Bytes src = rng.bytes(bytes);
-    Bytes dst_fast(bytes, 0);
-    by_c.mul_be(dst_fast.data(), src.data(), bytes);
-    Bytes acc_fast = rng.bytes(bytes);
-    Bytes acc_ref = acc_fast;
-    by_c.axpy_be(acc_fast.data(), src.data(), bytes);
-    for (std::size_t i = 0; i < bytes; i += 2) {
-      const auto x = static_cast<GF16::Elem>((src[i] << 8) | src[i + 1]);
-      const GF16::Elem y = f.mul(c, x);
-      ASSERT_EQ(dst_fast[i], y >> 8) << "bytes=" << bytes << " i=" << i;
-      ASSERT_EQ(dst_fast[i + 1], y & 0xFF) << "bytes=" << bytes << " i=" << i;
-      acc_ref[i] ^= static_cast<std::uint8_t>(y >> 8);
-      acc_ref[i + 1] ^= static_cast<std::uint8_t>(y & 0xFF);
+                                  30u, 64u, 66u, 126u, 510u, 512u, 1024u,
+                                  1030u, 2048u}) {
+    const auto random_c = static_cast<GF16::Elem>(rng.next_u64());
+    for (const GF16::Elem c : {random_c, GF16::Elem{0}, GF16::Elem{1}}) {
+      const MulBy by_c(f, c);
+      const Bytes src = rng.bytes(bytes);
+      Bytes dst_fast(bytes, 0);
+      by_c.mul_be(dst_fast.data(), src.data(), bytes);
+      Bytes acc_fast = rng.bytes(bytes);
+      Bytes acc_ref = acc_fast;
+      by_c.axpy_be(acc_fast.data(), src.data(), bytes);
+      for (std::size_t i = 0; i < bytes; i += 2) {
+        const auto x = static_cast<GF16::Elem>((src[i] << 8) | src[i + 1]);
+        const GF16::Elem y = f.mul(c, x);
+        ASSERT_EQ(dst_fast[i], y >> 8)
+            << "bytes=" << bytes << " c=" << c << " i=" << i;
+        ASSERT_EQ(dst_fast[i + 1], y & 0xFF)
+            << "bytes=" << bytes << " c=" << c << " i=" << i;
+        acc_ref[i] ^= static_cast<std::uint8_t>(y >> 8);
+        acc_ref[i + 1] ^= static_cast<std::uint8_t>(y & 0xFF);
+      }
+      ASSERT_EQ(acc_fast, acc_ref) << "bytes=" << bytes << " c=" << c;
     }
-    ASSERT_EQ(acc_fast, acc_ref) << "bytes=" << bytes;
   }
 }
 
@@ -195,8 +202,10 @@ TEST(ReedSolomon, EncodeMatchesReferenceAcrossSizes) {
   // Sizes chosen to straddle the small-buffer threshold (512-byte shares)
   // where encode switches between the ref_ scalar path and the MulBy axpy
   // path, plus odd lengths exercising the padding of the final chunk.
-  const std::size_t sizes[] = {1,   2,    3,    17,   100,  511,   512,
-                               513, 1000, 4095, 4096, 4097, 10000, 65537};
+  // 2550/2551 sit exactly on the threshold at k=5.
+  const std::size_t sizes[] = {0,    1,    2,    3,    17,   100,   511,
+                               512,  513,  1000, 2550, 2551, 2560,  4095,
+                               4096, 4097, 8192, 10000, 65537};
   for (const auto& [n, k] : {std::pair<std::size_t, std::size_t>{4, 3},
                              {7, 5}, {13, 9}, {31, 21}, {64, 43}}) {
     const ReedSolomon rs(n, k);
@@ -249,134 +258,6 @@ TEST(ReedSolomon, DeterministicEncoding) {
   const ReedSolomon rs(13, 9);
   const Bytes data(500, 0x5A);
   EXPECT_EQ(rs.encode(data), rs.encode(data));
-}
-
-TEST(ReedSolomon, BatchEncodeMatchesReferencePerPayload) {
-  // The cross-instance batch entry point against both oracles, with
-  // heterogeneous payload sizes straddling the 512-byte wide-path
-  // threshold (n=7, k=5: shares go wide from data ~2551 bytes up). Every
-  // share vector must equal the per-payload encode() AND the independent
-  // scalar ref_ encoder, bit for bit.
-  const std::size_t n = 7;
-  const std::size_t k = 5;
-  const ReedSolomon rs(n, k);
-  Rng rng(91);
-  std::vector<Bytes> batch;
-  for (const std::size_t size : {1u, 40u, 700u, 2550u, 2551u, 2560u, 8192u}) {
-    batch.push_back(rng.bytes(size));
-  }
-  const auto encoded = rs.encode_batch(batch);
-  ASSERT_EQ(encoded.size(), batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    SCOPED_TRACE(::testing::Message() << "payload bytes=" << batch[i].size());
-    EXPECT_EQ(encoded[i], rs.encode(batch[i]));
-    EXPECT_EQ(encoded[i], ref_::encode(n, k, batch[i]));
-  }
-}
-
-TEST(ReedSolomon, BatchEncodePointerOverloadMatchesValueOverload) {
-  // The scatter form (span of pointers, as handed up by the engine's
-  // kernel batcher from parked instances) is the same computation as the
-  // contiguous form -- and both equal per-payload encode().
-  const ReedSolomon rs(7, 5);
-  Rng rng(131);
-  std::vector<Bytes> payloads;
-  for (const std::size_t size : {2u, 600u, 2551u, 4096u}) {
-    payloads.push_back(rng.bytes(size));
-  }
-  std::vector<const Bytes*> ptrs;
-  for (const Bytes& p : payloads) ptrs.push_back(&p);
-  const auto via_ptrs =
-      rs.encode_batch(std::span<const Bytes* const>(ptrs));
-  const auto via_values = rs.encode_batch(payloads);
-  ASSERT_EQ(via_ptrs.size(), payloads.size());
-  EXPECT_EQ(via_ptrs, via_values);
-  for (std::size_t i = 0; i < payloads.size(); ++i) {
-    EXPECT_EQ(via_ptrs[i], rs.encode(payloads[i]));
-  }
-}
-
-TEST(ReedSolomon, BatchEncodeEdgeShapes) {
-  const ReedSolomon rs(7, 5);
-  // Empty batch, single payload, and all-small / all-wide uniform batches.
-  EXPECT_TRUE(rs.encode_batch(std::span<const Bytes>{}).empty());
-  for (const std::size_t size : {3u, 5000u}) {
-    Rng rng(17 + size);
-    const std::vector<Bytes> batch(4, rng.bytes(size));
-    const auto encoded = rs.encode_batch(batch);
-    for (const auto& shares : encoded) {
-      EXPECT_EQ(shares, rs.encode(batch[0]));
-    }
-  }
-}
-
-TEST(GF16, AxpyBatchMatchesPerJobKernels) {
-  const GF16& f = GF16::instance();
-  Rng rng(23);
-  // Jobs with repeated and zero coefficients over buffers of mixed sizes
-  // (even byte counts; some below, some above the MulBy amortization
-  // sweet spot). The batch must leave every dst exactly as the per-job
-  // axpy_be calls would.
-  constexpr std::size_t kSizes[] = {0, 2, 8, 10, 64, 510, 512, 2048};
-  std::vector<AxpyJob> jobs;
-  std::vector<Bytes> srcs;
-  std::vector<Bytes> dst_batch;
-  std::vector<Bytes> dst_ref;
-  constexpr GF16::Elem kCoefs[] = {0, 1, 7, 7, 0x1234, 7, 0xFFFF, 1};
-  for (std::size_t i = 0; i < std::size(kSizes); ++i) {
-    srcs.push_back(rng.bytes(kSizes[i]));
-    dst_batch.push_back(rng.bytes(kSizes[i]));
-  }
-  dst_ref = dst_batch;
-  for (std::size_t i = 0; i < std::size(kSizes); ++i) {
-    AxpyJob job;
-    job.dst = dst_batch[i].data();
-    job.src = srcs[i].data();
-    job.bytes = kSizes[i];
-    job.c = kCoefs[i];
-    jobs.push_back(job);
-  }
-  axpy_be_batch(f, jobs);
-  for (std::size_t i = 0; i < std::size(kSizes); ++i) {
-    if (kCoefs[i] != 0 && kSizes[i] != 0) {
-      MulBy(f, kCoefs[i]).axpy_be(dst_ref[i].data(), srcs[i].data(),
-                                  kSizes[i]);
-    }
-    EXPECT_EQ(dst_batch[i], dst_ref[i]) << "job " << i;
-  }
-}
-
-TEST(GF16, AxpyBatchAccumulatesOntoSharedDst) {
-  // Multiple jobs targeting one dst: XOR accumulation is order-free, so
-  // the grouped-by-coefficient execution must equal sequential per-job
-  // axpy. This is the engine shape: many instances folding into one
-  // aggregate buffer.
-  const GF16& f = GF16::instance();
-  Rng rng(29);
-  const std::size_t bytes = 1024;
-  Bytes dst_batch = rng.bytes(bytes);
-  Bytes dst_ref = dst_batch;
-  std::vector<Bytes> srcs;
-  for (int i = 0; i < 6; ++i) srcs.push_back(rng.bytes(bytes));
-  constexpr GF16::Elem kCoefs[] = {3, 9, 3, 0, 0x8001, 9};
-  std::vector<AxpyJob> jobs;
-  for (std::size_t i = 0; i < srcs.size(); ++i) {
-    jobs.push_back({dst_batch.data(), srcs[i].data(), bytes, kCoefs[i]});
-  }
-  axpy_be_batch(f, jobs);
-  for (std::size_t i = 0; i < srcs.size(); ++i) {
-    if (kCoefs[i] == 0) continue;
-    MulBy(f, kCoefs[i]).axpy_be(dst_ref.data(), srcs[i].data(), bytes);
-  }
-  EXPECT_EQ(dst_batch, dst_ref);
-}
-
-TEST(GF16, AxpyBatchRejectsOddByteCount) {
-  const GF16& f = GF16::instance();
-  Bytes dst(3, 0);
-  Bytes src(3, 0);
-  const AxpyJob jobs[] = {{dst.data(), src.data(), 3, 1}};
-  EXPECT_THROW(axpy_be_batch(f, jobs), Error);
 }
 
 }  // namespace

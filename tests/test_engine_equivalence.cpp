@@ -3,8 +3,8 @@
 // The contract under test is the engine's headline invariant: sharding K
 // concurrent instances over a worker pool is a pure wall-clock knob. For
 // every protocol target, each instance's canonical transcript, RunStats
-// (honest bytes/messages/rounds, per-party bytes, leaf-charged
-// phase_breakdown), and oracle verdict must be bit-identical to the same
+// (honest bytes/messages/rounds, per-party bytes, payload copies and
+// bytes copied, leaf-charged phase_breakdown), and oracle verdict must be bit-identical to the same
 // (protocol, n, ell, seed) case run alone on a single SyncNetwork -- and
 // identical across worker counts {1, 2, 8}. Cross-instance aggregates
 // (honest bytes by round, folded metrics) must likewise not depend on the
@@ -82,6 +82,8 @@ void expect_instance_equivalent(const Solo& solo,
   EXPECT_EQ(a.honest_messages, b.honest_messages);
   EXPECT_EQ(a.rounds, b.rounds);
   EXPECT_EQ(a.bytes_by_party, b.bytes_by_party);
+  EXPECT_EQ(a.payload_copies, b.payload_copies);
+  EXPECT_EQ(a.payload_bytes_copied, b.payload_bytes_copied);
   EXPECT_EQ(a.phase_breakdown, b.phase_breakdown);
   EXPECT_EQ(a.honest_bytes_by_phase, b.honest_bytes_by_phase);
   EXPECT_EQ(solo.outcome.verdict.violations,
