@@ -45,7 +45,8 @@ void validate_case(const FuzzCase& c) {
             "FuzzCase: fault charged to a corrupted party");
   }
   require(c.mutation.max_delay >= 1, "FuzzCase: need max_delay >= 1");
-  require(c.threads >= 0, "FuzzCase: need threads >= 0");
+  require(c.threads == 0 || c.threads == 1,
+          "FuzzCase: threads must be 0 or 1 (serial schedule)");
 }
 
 namespace {
@@ -1108,7 +1109,6 @@ FuzzCase Fuzzer::next_case() {
   c.input_seed = rng_.next_u64();
   c.mutation.seed = rng_.next_u64();
   c.mutation.max_delay = 1 + rng_.below(4);
-  c.threads = options_.threads;
   switch (rng_.below(4)) {
     case 0:
       break;  // default mix: mostly honest traffic, occasional strikes

@@ -29,15 +29,18 @@ std::size_t BufferPool::class_size(std::size_t min_bytes) {
   return size;
 }
 
-std::shared_ptr<Bytes> BufferPool::acquire(std::size_t min_bytes) {
+std::shared_ptr<Bytes> BufferPool::acquire(std::size_t min_bytes, Lane lane) {
   const std::size_t cls = class_index(min_bytes);
   const std::size_t size = class_size(min_bytes);
+  // Oversize slabs have no free list: null frees them on release.
+  FreeList* const list =
+      cls < kClasses ? &free_[static_cast<std::size_t>(lane)][cls] : nullptr;
   std::unique_ptr<Bytes> slab;
   {
     std::lock_guard lk(mu_);
-    if (cls < kClasses && !free_[cls].empty()) {
-      slab = std::move(free_[cls].back());
-      free_[cls].pop_back();
+    if (list != nullptr && !list->empty()) {
+      slab = std::move(list->back());
+      list->pop_back();
       stats_.slab_reuses += 1;
     } else {
       stats_.slab_allocs += 1;
@@ -49,14 +52,14 @@ std::shared_ptr<Bytes> BufferPool::acquire(std::size_t min_bytes) {
   // The deleter returns the slab to the pool (or frees oversize slabs); it
   // runs on whichever thread drops the last Payload view.
   return std::shared_ptr<Bytes>(
-      slab.release(), [cls](Bytes* b) { instance().release(b, cls); });
+      slab.release(), [list](Bytes* b) { instance().release(b, list); });
 }
 
-void BufferPool::release(Bytes* slab, std::size_t cls) {
+void BufferPool::release(Bytes* slab, FreeList* list) {
   std::unique_ptr<Bytes> owned(slab);
   std::lock_guard lk(mu_);
   stats_.slab_releases += 1;
-  if (cls < kClasses) free_[cls].push_back(std::move(owned));
+  if (list != nullptr) list->push_back(std::move(owned));
   // oversize: owned frees on scope exit
 }
 
@@ -68,13 +71,17 @@ BufferPool::Stats BufferPool::stats() const {
 std::size_t BufferPool::free_slabs() const {
   std::lock_guard lk(mu_);
   std::size_t total = 0;
-  for (const auto& list : free_) total += list.size();
+  for (const auto& lane : free_) {
+    for (const FreeList& list : lane) total += list.size();
+  }
   return total;
 }
 
 void BufferPool::trim() {
   std::lock_guard lk(mu_);
-  for (auto& list : free_) list.clear();
+  for (auto& lane : free_) {
+    for (FreeList& list : lane) list.clear();
+  }
 }
 
 }  // namespace coca::net

@@ -14,6 +14,14 @@
 // freed, not cached, on release (they are rare by construction -- the
 // decoder only asks for one when a single frame exceeds the largest class).
 //
+// Lanes: the pool keeps one set of free lists per lane, and a slab returns
+// to the lane it was acquired from. The daemon's connections read on the
+// daemon lane and clients on the client lane, so when both run in one
+// process (tests, `trace_runner --wire`, the in-process benchmark daemon)
+// neither side's steady-state slab set depends on how the other side's
+// thread is scheduled -- the same separation two processes have anyway.
+// Stats are pool-wide.
+//
 // Concurrency: acquire/release take one uncontended mutex. Release runs from
 // whatever thread dropped the last view -- the client's reader thread
 // routinely frees slabs into the same pool the daemon's epoll thread
@@ -42,15 +50,21 @@ class BufferPool {
   static constexpr std::size_t kMaxSlab = 4u << 20;    // 4 MiB
   static constexpr std::size_t kClasses = 6;           // 4K..4M, x4 steps
 
+  /// Independent free-list sets (see the header comment).
+  enum class Lane : std::uint8_t { kClient, kDaemon };
+  static constexpr std::size_t kLanes = 2;
+
   /// The process-wide pool.
   static BufferPool& instance();
 
-  /// A slab with `size() >= min_bytes`: reused from the matching size-class
-  /// free list when possible, freshly allocated otherwise. The returned
-  /// buffer's size() is the full slab capacity; callers track their own fill
-  /// level. When the last shared_ptr drops, the slab returns to its free
-  /// list (or is freed outright if it is an oversize, unpooled slab).
-  std::shared_ptr<Bytes> acquire(std::size_t min_bytes);
+  /// A slab with `size() >= min_bytes`: reused from the lane's matching
+  /// size-class free list when possible, freshly allocated otherwise. The
+  /// returned buffer's size() is the full slab capacity; callers track their
+  /// own fill level. When the last shared_ptr drops, the slab returns to
+  /// that free list (or is freed outright if it is an oversize, unpooled
+  /// slab).
+  std::shared_ptr<Bytes> acquire(std::size_t min_bytes,
+                                 Lane lane = Lane::kClient);
 
   /// Monotonic counters (process-wide, sampled-and-diffed by benches).
   struct Stats {
@@ -62,7 +76,7 @@ class BufferPool {
   };
   Stats stats() const;
 
-  /// Slabs currently cached across all free lists (tests).
+  /// Slabs currently cached across all free lists of every lane (tests).
   std::size_t free_slabs() const;
 
   /// Drops every cached slab (tests isolate reuse accounting with this).
@@ -75,10 +89,12 @@ class BufferPool {
  private:
   BufferPool() = default;
 
-  void release(Bytes* slab, std::size_t cls);
+  using FreeList = std::vector<std::unique_ptr<Bytes>>;
+
+  void release(Bytes* slab, FreeList* list);
 
   mutable std::mutex mu_;
-  std::vector<std::unique_ptr<Bytes>> free_[kClasses];
+  FreeList free_[kLanes][kClasses];
   Stats stats_;
 };
 

@@ -1,13 +1,10 @@
 #include "net/sync_network.h"
 
 #include <algorithm>
-#include <chrono>
-#include <condition_variable>
 #include <cstdlib>
 #include <exception>
-#include <mutex>
+#include <memory>
 #include <optional>
-#include <thread>
 #include <utility>
 
 #include "obs/obs.h"
@@ -16,18 +13,30 @@
 #include <ucontext.h>
 #include <unistd.h>
 
-// The fiber backend swaps user-space stacks, which ThreadSanitizer cannot
-// track without fiber annotations; under TSan the serial schedule falls
-// back to OS threads so the checker sees real threads.
+// Every party runs as a ucontext fiber, which the sanitizers cannot follow
+// on their own: ASan must be told which stack is live (or it reports
+// stack-use-after-scope when an exception unwinds a fiber stack), and TSan
+// needs one fiber context per stack. The annotations compile only into
+// sanitizer builds.
+#if defined(__SANITIZE_ADDRESS__)
+#define COCA_SANITIZE_ADDRESS 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define COCA_SANITIZE_ADDRESS 1
+#endif
+#endif
 #if defined(__SANITIZE_THREAD__)
-#define COCA_TSAN 1
+#define COCA_SANITIZE_THREAD 1
 #elif defined(__has_feature)
 #if __has_feature(thread_sanitizer)
-#define COCA_TSAN 1
+#define COCA_SANITIZE_THREAD 1
 #endif
 #endif
-#ifndef COCA_TSAN
-#define COCA_TSAN 0
+#ifdef COCA_SANITIZE_ADDRESS
+#include <sanitizer/common_interface_defs.h>
+#endif
+#ifdef COCA_SANITIZE_THREAD
+#include <sanitizer/tsan_interface.h>
 #endif
 
 namespace coca::net {
@@ -80,10 +89,100 @@ class FiberStack {
   std::size_t page_ = 0;
 };
 
-bool fibers_enabled() {
-  if (COCA_TSAN) return false;
-  // Escape hatch: COCA_NO_FIBERS forces the OS-thread backend everywhere.
-  return std::getenv("COCA_NO_FIBERS") == nullptr;
+/// One execution context of the engine: the controller (which runs on the
+/// caller's own stack) or a party fiber (which owns a FiberStack), plus what
+/// the sanitizers need to follow a swap onto it.
+struct Fiber {
+  ucontext_t ctx = {};
+  std::unique_ptr<FiberStack> stack;  // null for the controller
+#ifdef COCA_SANITIZE_ADDRESS
+  // Bounds of this context's stack. A party's are set when its stack is
+  // made; the controller's are learned at each fiber entry.
+  const void* stack_bottom = nullptr;
+  std::size_t stack_size = 0;
+#endif
+#ifdef COCA_SANITIZE_THREAD
+  void* tsan = nullptr;
+#endif
+
+  /// Makes this a fresh fiber on its own stack that runs `entry(hi, lo)`
+  /// when first swapped in. makecontext only passes ints, so a pointer
+  /// argument travels as halves.
+  void start(void (*entry)(unsigned, unsigned), const void* arg) {
+    stack = std::make_unique<FiberStack>();
+    getcontext(&ctx);
+    ctx.uc_stack.ss_sp = stack->sp();
+    ctx.uc_stack.ss_size = stack->size();
+    ctx.uc_link = nullptr;  // entry never returns (see exit_fiber)
+    const auto ptr = reinterpret_cast<std::uintptr_t>(arg);
+    makecontext(&ctx, reinterpret_cast<void (*)()>(entry), 2,
+                static_cast<unsigned>(ptr >> 32),
+                static_cast<unsigned>(ptr & 0xFFFFFFFFu));
+#ifdef COCA_SANITIZE_ADDRESS
+    stack_bottom = stack->sp();
+    stack_size = stack->size();
+#endif
+#ifdef COCA_SANITIZE_THREAD
+    tsan = __tsan_create_fiber(0);
+#endif
+  }
+
+  /// Frees a finished fiber's stack; called from the controller.
+  void reset() {
+#ifdef COCA_SANITIZE_THREAD
+    if (tsan != nullptr) __tsan_destroy_fiber(tsan);
+    tsan = nullptr;
+#endif
+    stack.reset();
+  }
+
+  /// The controller's context is the calling thread's own stack.
+  void adopt_current_thread() {
+#ifdef COCA_SANITIZE_THREAD
+    tsan = __tsan_get_current_fiber();
+#endif
+  }
+};
+
+/// Swaps from `self` to `to` and returns when `to` swaps back. Fibers only
+/// ever swap with the controller, so the context resuming `self` is always
+/// `to`, and ASan's report of the stack we came back from describes `to`.
+void switch_fiber(Fiber& self, Fiber& to) {
+#ifdef COCA_SANITIZE_ADDRESS
+  void* fake_stack = nullptr;
+  __sanitizer_start_switch_fiber(&fake_stack, to.stack_bottom, to.stack_size);
+#endif
+#ifdef COCA_SANITIZE_THREAD
+  __tsan_switch_to_fiber(to.tsan, 0);
+#endif
+  swapcontext(&self.ctx, &to.ctx);
+#ifdef COCA_SANITIZE_ADDRESS
+  __sanitizer_finish_switch_fiber(fake_stack, &to.stack_bottom, &to.stack_size);
+#endif
+}
+
+/// First statement of a new fiber: completes the controller's swap onto it.
+void enter_fiber(Fiber& controller) {
+#ifdef COCA_SANITIZE_ADDRESS
+  __sanitizer_finish_switch_fiber(nullptr, &controller.stack_bottom,
+                                  &controller.stack_size);
+#else
+  (void)controller;
+#endif
+}
+
+/// Last statement of a finished fiber: swaps to the controller for good.
+/// ASan drops the dying fiber's fake stack (nullptr save slot).
+[[noreturn]] void exit_fiber(Fiber& self, Fiber& controller) {
+#ifdef COCA_SANITIZE_ADDRESS
+  __sanitizer_start_switch_fiber(nullptr, controller.stack_bottom,
+                                 controller.stack_size);
+#endif
+#ifdef COCA_SANITIZE_THREAD
+  __tsan_switch_to_fiber(controller.tsan, 0);
+#endif
+  swapcontext(&self.ctx, &controller.ctx);
+  std::abort();  // a finished fiber is never resumed
 }
 
 }  // namespace
@@ -130,20 +229,9 @@ struct SyncNetwork::Runner {
   ProtocolFn fn;
   std::unique_ptr<PartyContext> ctx;
 
-  // ---- OS-thread backend (parallel windows, and serial under TSan).
-  std::thread thread;
-  // Barrier handshake, all guarded by Impl::mu. The controller releases a
-  // runner by setting `go` and signalling `cv`; the runner consumes `go`,
-  // runs its round slice, and parks again at the next advance(). While
-  // `in_flight` it occupies one of the policy's worker-window slots.
-  std::condition_variable cv;
-  bool go = false;
-  bool in_flight = false;
-
-  // ---- Fiber backend (serial schedule): the runner is a cooperative
-  // fiber on the controller's thread; a release is one stack swap.
-  ucontext_t fiber_ctx = {};
-  std::unique_ptr<FiberStack> fiber_stack;
+  // The runner's cooperative fiber on the controller's thread; releasing
+  // it for a round slice is one stack swap.
+  Fiber fiber;
   Impl* impl = nullptr;  // backpointer for the fiber trampoline
 
   enum class State { AtBarrier, Running, Finished };
@@ -159,12 +247,10 @@ struct SyncNetwork::Runner {
   bool decided = false;  // protocol function returned normally
 
   // Runner-local staging and metrics: written only by the runner's own
-  // execution context while Running, read by the controller only while the
-  // runner is parked at the barrier or finished (the barrier mutex orders
-  // these accesses in the thread backend; the fiber backend is single-
-  // threaded). Keeping the outbox runner-local is what makes the parallel
-  // schedule deterministic: sends never contend, and the controller merges
-  // outboxes in canonical runner-table order at the barrier.
+  // fiber while Running, read by the controller only while the runner is
+  // parked at the barrier or finished. The controller merges outboxes in
+  // canonical runner-table order at the barrier, which fixes the delivery
+  // order independently of how the slices were scheduled.
   struct Staged {
     int to;
     Payload payload;
@@ -186,12 +272,6 @@ struct SyncNetwork::Runner {
   // ---- Observability (inert unless a tracer is installed for the run).
   int obs_track = -1;        // phase + kernel spans, send charges
   int obs_slice_track = -1;  // one span per executed round slice
-  bool slice_open = false;   // runner-context-only balance flag
-  // Payload deep copies performed on this runner's own OS thread (thread
-  // backend only; fibers share the controller thread, whose delta covers
-  // them). Recorded at thread exit, summed into RunStats.
-  std::uint64_t payload_copies = 0;
-  std::uint64_t payload_bytes_copied = 0;
 
   /// makecontext entry point: runs the protocol function inside the fiber
   /// and swaps back to the controller when it finishes (or unwinds).
@@ -210,13 +290,8 @@ struct SyncNetwork::Scripted {
 
 struct SyncNetwork::Impl {
   int n = 0;
-  std::mutex mu;
-  std::condition_variable cv_ctrl;  // controller waits for parks
-  std::size_t in_flight = 0;        // runners released and not yet parked
   bool abort = false;
-  bool fibers = false;               // backend chosen for the current run()
-  ucontext_t controller_ctx = {};
-  ExecPolicy policy;                 // default: auto (COCA_THREADS / serial)
+  Fiber controller;
   Transcript* transcript = nullptr;  // optional recording sink
   RoundObserver* round_observer = nullptr;  // optional per-round hook
   RoundRouter* router = nullptr;            // optional round transport
@@ -225,10 +300,8 @@ struct SyncNetwork::Impl {
   // ---- Observability (null tracer = every hook below is one branch).
   obs::Tracer* tracer = nullptr;
   int obs_engine_track = -1;
-  // Engine round of the slice currently executing. Written by the
-  // controller before releasing a wave (under `mu` in the thread backend,
-  // whose barrier handshake orders runner reads; trivially ordered in the
-  // single-threaded fiber backend).
+  // Engine round of the slice currently executing; written by the
+  // controller before it releases the round's first fiber.
   std::size_t current_round = 0;
 
   std::vector<std::unique_ptr<Runner>> runners;
@@ -332,7 +405,7 @@ struct SyncNetwork::Impl {
 
   /// Permutes the freshly routed inboxes of shuffle-covered recipients with
   /// a per-(seed, party, round) stream: deterministic, independent of the
-  /// ExecPolicy, identical for both halves of a split-brain party.
+  /// schedule, identical for both halves of a split-brain party.
   void apply_shuffles(std::size_t round) {
     if (plan.shuffles.empty()) return;
     const auto permute = [&](std::vector<Envelope>& inbox, int party,
@@ -417,8 +490,7 @@ struct SyncNetwork::Impl {
   }
 
   /// Delivers one round: all runners are parked (or finished), so their
-  /// outboxes and metrics are safe to touch. Backend-agnostic; the thread
-  /// backend calls this with the barrier mutex held. Returns false iff the
+  /// outboxes and metrics are safe to touch. Returns false iff the
   /// installed RoundRouter failed to carry the round (never without one).
   bool deliver_round(std::size_t round) {
     std::uint64_t round_honest_bytes = 0;
@@ -553,41 +625,13 @@ struct SyncNetwork::Impl {
   }
 
   int t_for_views = 0;  // network t, for RoundView
-
-  /// Releases every non-finished runner for one round slice, at most
-  /// `window` concurrently, in canonical runner-table order, and waits
-  /// until all of them are parked again (or finished). Runners frozen by a
-  /// crash-recovery window are skipped. Returns false on watchdog timeout.
-  /// Caller holds `lk`. (OS-thread backend.)
-  bool run_wave(std::unique_lock<std::mutex>& lk, std::size_t window,
-                std::size_t round) {
-    std::size_t next = 0;
-    for (;;) {
-      while (in_flight < window && next < runners.size()) {
-        Runner& r = *runners[next++];
-        if (r.state == Runner::State::Finished) continue;
-        if (skip_this_slice(r, round)) continue;
-        r.go = true;
-        r.in_flight = true;
-        ++in_flight;
-        r.cv.notify_one();
-      }
-      if (in_flight == 0 && next == runners.size()) return true;
-      // Watchdog: a round slice that takes this long means livelock in
-      // protocol code (all legitimate slices are short bursts of compute).
-      if (!cv_ctrl.wait_for(lk, std::chrono::seconds(300), [&] {
-            return in_flight == 0 ||
-                   (in_flight < window && next < runners.size());
-          })) {
-        return false;
-      }
-    }
-  }
 };
 
 void SyncNetwork::Runner::fiber_trampoline(unsigned hi, unsigned lo) {
   auto* r = reinterpret_cast<Runner*>((static_cast<std::uintptr_t>(hi) << 32) |
                                       static_cast<std::uintptr_t>(lo));
+  Fiber& controller = r->impl->controller;
+  enter_fiber(controller);
   try {
     r->state = State::Running;
     // A fiber first swapped in during an abort unwind, or with a round-0
@@ -604,7 +648,7 @@ void SyncNetwork::Runner::fiber_trampoline(unsigned hi, unsigned lo) {
     r->error = std::current_exception();
   }
   r->state = State::Finished;
-  swapcontext(&r->fiber_ctx, &r->impl->controller_ctx);
+  exit_fiber(r->fiber, controller);
 }
 
 SyncNetwork::SyncNetwork(int n, int t) : n_(n), t_(t) {
@@ -615,12 +659,7 @@ SyncNetwork::SyncNetwork(int n, int t) : n_(n), t_(t) {
   impl_->role_of_party.assign(static_cast<std::size_t>(n), 0);
 }
 
-SyncNetwork::~SyncNetwork() {
-  // run() joins all threads; if run() was never called, no threads exist.
-  for (auto& r : impl_->runners) {
-    ensure(!r->thread.joinable(), "SyncNetwork destroyed with live threads");
-  }
-}
+SyncNetwork::~SyncNetwork() = default;
 
 int PartyContext::n() const { return net_.n(); }
 int PartyContext::t() const { return net_.t(); }
@@ -726,8 +765,9 @@ void SyncNetwork::set_split_brain(int id, ProtocolFn a, ProtocolFn b,
 }
 
 void SyncNetwork::set_exec_policy(ExecPolicy policy) {
-  require(policy.threads >= 0, "SyncNetwork::set_exec_policy: bad threads");
-  impl_->policy = policy;
+  require(policy.threads == 0 || policy.threads == 1,
+          "SyncNetwork::set_exec_policy: only the serial schedule (threads "
+          "0 or 1) exists");
 }
 
 void SyncNetwork::set_transcript(Transcript* sink) {
@@ -830,45 +870,17 @@ void SyncNetwork::runner_pop_phase(std::size_t runner_index) {
 
 std::vector<Envelope> SyncNetwork::runner_advance(std::size_t runner_index) {
   Runner& r = *impl_->runners[runner_index];
-  std::vector<Envelope> inbox;
-  if (impl_->fibers) {
-    // Cooperative barrier: one stack swap to the controller, which resumes
-    // this fiber at the start of the next round slice. No locks: the whole
-    // network runs on one OS thread. Slice spans and the kernel-span
-    // thread scope are managed by the controller around the swap.
-    r.state = Runner::State::AtBarrier;
-    swapcontext(&r.fiber_ctx, &impl_->controller_ctx);
-    if (impl_->abort) throw AbortSignal{};
-    if (r.crash_unwind) throw CrashSignal{};
-    r.state = Runner::State::Running;
-    r.fail_phase.clear();
-    inbox = std::exchange(r.inbox_next, {});
-  } else {
-    std::unique_lock lk(impl_->mu);
-    r.state = Runner::State::AtBarrier;
-    if (impl_->tracer != nullptr && r.slice_open) {
-      obs::thread_scope() = {};
-      impl_->tracer->end(r.obs_slice_track);
-      r.slice_open = false;
-    }
-    if (r.in_flight) {
-      r.in_flight = false;
-      --impl_->in_flight;
-    }
-    impl_->cv_ctrl.notify_one();
-    r.cv.wait(lk, [&] { return r.go || impl_->abort; });
-    if (impl_->abort) throw AbortSignal{};
-    if (r.crash_unwind) throw CrashSignal{};
-    r.go = false;
-    r.state = Runner::State::Running;
-    r.fail_phase.clear();
-    if (obs::Tracer* tr = impl_->tracer; tr != nullptr) {
-      tr->begin(r.obs_slice_track, "slice", "slice", impl_->current_round);
-      obs::thread_scope() = {tr, r.obs_track, impl_->current_round};
-      r.slice_open = true;
-    }
-    inbox = std::exchange(r.inbox_next, {});
-  }
+  // Cooperative barrier: one stack swap to the controller, which resumes
+  // this fiber at the start of the next round slice. No locks: the whole
+  // network runs on one OS thread. Slice spans and the kernel-span thread
+  // scope are managed by the controller around the swap.
+  r.state = Runner::State::AtBarrier;
+  switch_fiber(r.fiber, impl_->controller);
+  if (impl_->abort) throw AbortSignal{};
+  if (r.crash_unwind) throw CrashSignal{};
+  r.state = Runner::State::Running;
+  r.fail_phase.clear();
+  std::vector<Envelope> inbox = std::exchange(r.inbox_next, {});
   // The runner entered the next round; let a tap flush held-back messages
   // before the wrapped protocol stages its own (staging is runner-local).
   ++r.local_round;
@@ -906,9 +918,6 @@ RunReport SyncNetwork::run_impl(std::size_t max_rounds, bool guarded,
     require(im.role_of_party[p] != 0,
             "SyncNetwork::run: every party needs a role before running");
   }
-  const std::size_t window =
-      static_cast<std::size_t>(std::max(1, im.policy.window()));
-  im.fibers = window == 1 && fibers_enabled();
   if (im.transcript) im.transcript->rounds.clear();
   im.build_routing_index();
   im.faults = FaultStats{};
@@ -932,12 +941,11 @@ RunReport SyncNetwork::run_impl(std::size_t max_rounds, bool guarded,
       }
       rp->obs_track = tr->add_track(label, "party", rp->honest);
       rp->obs_slice_track = tr->add_track(label + " slices", "slices", false);
-      rp->slice_open = false;
     }
   }
-  // Per-run payload-copy attribution: the controller thread's delta plus
-  // each runner thread's delta (fibers all run on the controller thread).
-  // Thread-local accounting keeps concurrent runs in other threads out.
+  // Per-run payload-copy attribution: every fiber runs on the controller's
+  // thread, so its thread-local delta covers the whole run and keeps
+  // concurrent runs in other threads out.
   const std::uint64_t ctl_copies_before = PayloadMetrics::thread_copies();
   const std::uint64_t ctl_bytes_copied_before =
       PayloadMetrics::thread_bytes_copied();
@@ -946,7 +954,6 @@ RunReport SyncNetwork::run_impl(std::size_t max_rounds, bool guarded,
   std::size_t rounds = 0;
   std::exception_ptr failure;
   bool timed_out = false;
-  bool watchdog_fired = false;
   bool transport_failed = false;
   const auto begin_round_span = [&] {
     if (im.tracer != nullptr) {
@@ -957,202 +964,80 @@ RunReport SyncNetwork::run_impl(std::size_t max_rounds, bool guarded,
   const auto end_round_span = [&] {
     if (im.tracer != nullptr) im.tracer->end(im.obs_engine_track);
   };
+  const auto all_finished = [&] {
+    return std::all_of(im.runners.begin(), im.runners.end(), [](auto& r) {
+      return r->state == Runner::State::Finished;
+    });
+  };
 
-  if (im.fibers) {
-    // ---- Fiber backend: every runner is a cooperative fiber; the
-    // controller swaps into each in canonical order, delivers, repeats.
-    for (auto& rp : im.runners) {
-      Runner& r = *rp;
-      r.impl = &im;
-      r.fiber_stack = std::make_unique<FiberStack>();
-      getcontext(&r.fiber_ctx);
-      r.fiber_ctx.uc_stack.ss_sp = r.fiber_stack->sp();
-      r.fiber_ctx.uc_stack.ss_size = r.fiber_stack->size();
-      r.fiber_ctx.uc_link = &im.controller_ctx;
-      const auto ptr = reinterpret_cast<std::uintptr_t>(&r);
-      makecontext(&r.fiber_ctx,
-                  reinterpret_cast<void (*)()>(&Runner::fiber_trampoline), 2,
-                  static_cast<unsigned>(ptr >> 32),
-                  static_cast<unsigned>(ptr & 0xFFFFFFFFu));
-    }
-    const auto all_finished = [&] {
-      return std::all_of(im.runners.begin(), im.runners.end(), [](auto& r) {
-        return r->state == Runner::State::Finished;
-      });
-    };
-    for (;;) {
-      im.current_round = rounds;
-      im.begin_slice_faults(rounds);
-      begin_round_span();
-      for (auto& rp : im.runners) {
-        if (rp->state == Runner::State::Finished) continue;
-        if (im.skip_this_slice(*rp, rounds)) continue;
-        if (obs::Tracer* tr = im.tracer; tr != nullptr) {
-          tr->begin(rp->obs_slice_track, "slice", "slice", rounds);
-          obs::thread_scope() = {tr, rp->obs_track, rounds};
-        }
-        swapcontext(&im.controller_ctx, &rp->fiber_ctx);
-        if (obs::Tracer* tr = im.tracer; tr != nullptr) {
-          obs::thread_scope() = {};
-          tr->end(rp->obs_slice_track);
-        }
-      }
-      // Guarded mode is the exception barrier: a throwing party is already
-      // parked as Finished-with-error and the run simply continues without
-      // it. Legacy mode aborts the whole run on the first error.
-      if (!guarded) {
-        for (auto& r : im.runners) {
-          if (r->error && !failure) failure = r->error;
-        }
-        if (failure) {
-          end_round_span();
-          break;
-        }
-      }
-      if (all_finished()) {
-        end_round_span();
-        break;
-      }
-      if (rounds >= max_rounds) {
-        timed_out = true;
-        end_round_span();
-        break;
-      }
-      if (!im.deliver_round(rounds)) {
-        transport_failed = true;
-        timed_out = true;  // stragglers report as TimedOut below
-        end_round_span();
-        break;
-      }
-      end_round_span();
-      ++rounds;
-    }
-    if (failure || timed_out) {
-      // Unwind every parked fiber so protocol stack frames run their
-      // destructors before the stacks are freed.
-      im.abort = true;
-      for (auto& rp : im.runners) {
-        if (rp->state != Runner::State::Finished) {
-          swapcontext(&im.controller_ctx, &rp->fiber_ctx);
-        }
-      }
-      im.abort = false;
-    } else {
-      im.record_leftovers(rounds);
-    }
-    for (auto& rp : im.runners) rp->fiber_stack.reset();
-  } else {
-    // ---- OS-thread backend. Launch runner threads; each waits for its
-    // first release so that the pre-first-advance protocol segment obeys
-    // the same schedule as every later round slice.
-    for (auto& rp : im.runners) {
-      Runner& r = *rp;
-      r.thread = std::thread([this, &r] {
-        const std::uint64_t copies0 = PayloadMetrics::thread_copies();
-        const std::uint64_t bytes_copied0 =
-            PayloadMetrics::thread_bytes_copied();
-        try {
-          {
-            std::unique_lock lk(impl_->mu);
-            r.cv.wait(lk, [&] { return r.go || impl_->abort; });
-            if (impl_->abort) throw AbortSignal{};
-            if (r.crash_unwind) throw CrashSignal{};
-            r.go = false;
-            r.state = Runner::State::Running;
-            if (obs::Tracer* tr = impl_->tracer; tr != nullptr) {
-              tr->begin(r.obs_slice_track, "slice", "slice",
-                        impl_->current_round);
-              obs::thread_scope() = {tr, r.obs_track, impl_->current_round};
-              r.slice_open = true;
-            }
-          }
-          r.fn(*r.ctx);
-          r.decided = true;
-        } catch (const AbortSignal&) {
-          // Controller-initiated unwind; not an error.
-        } catch (const CrashSignal&) {
-          std::lock_guard lk(impl_->mu);
-          r.crashed_by_plan = true;  // FaultPlan crash-stop; not an error.
-        } catch (...) {
-          std::lock_guard lk(impl_->mu);
-          r.error = std::current_exception();
-        }
-        std::lock_guard lk(impl_->mu);
-        if (impl_->tracer != nullptr && r.slice_open) {
-          obs::thread_scope() = {};
-          impl_->tracer->end(r.obs_slice_track);
-          r.slice_open = false;
-        }
-        r.payload_copies = PayloadMetrics::thread_copies() - copies0;
-        r.payload_bytes_copied =
-            PayloadMetrics::thread_bytes_copied() - bytes_copied0;
-        r.state = Runner::State::Finished;
-        if (r.in_flight) {
-          r.in_flight = false;
-          --impl_->in_flight;
-        }
-        impl_->cv_ctrl.notify_one();
-      });
-    }
-
-    {
-      std::unique_lock lk(im.mu);
-      const auto all_finished = [&] {
-        return std::all_of(im.runners.begin(), im.runners.end(), [](auto& r) {
-          return r->state == Runner::State::Finished;
-        });
-      };
-      for (;;) {
-        im.current_round = rounds;
-        im.begin_slice_faults(rounds);
-        begin_round_span();
-        if (!im.run_wave(lk, window, rounds)) {
-          timed_out = true;
-          watchdog_fired = true;
-          end_round_span();
-          break;
-        }
-        if (!guarded) {
-          for (auto& r : im.runners) {
-            if (r->error && !failure) failure = r->error;
-          }
-          if (failure) {
-            end_round_span();
-            break;
-          }
-        }
-        if (all_finished()) {
-          end_round_span();
-          break;
-        }
-        if (rounds >= max_rounds) {
-          timed_out = true;
-          end_round_span();
-          break;
-        }
-        // All runners are parked; deliver one round.
-        if (!im.deliver_round(rounds)) {
-          transport_failed = true;
-          timed_out = true;  // stragglers report as TimedOut below
-          end_round_span();
-          break;
-        }
-        end_round_span();
-        ++rounds;
-      }
-
-      if (failure || timed_out) {
-        im.abort = true;
-        for (auto& r : im.runners) r->cv.notify_one();
-      } else {
-        im.record_leftovers(rounds);
-      }
-    }
-
-    for (auto& r : im.runners) {
-      if (r->thread.joinable()) r->thread.join();
-    }
+  // Every runner is a cooperative fiber; the controller swaps into each in
+  // canonical order, delivers, repeats.
+  im.controller.adopt_current_thread();
+  for (auto& rp : im.runners) {
+    rp->impl = &im;
+    rp->fiber.start(&Runner::fiber_trampoline, rp.get());
   }
+  for (;;) {
+    im.current_round = rounds;
+    im.begin_slice_faults(rounds);
+    begin_round_span();
+    for (auto& rp : im.runners) {
+      if (rp->state == Runner::State::Finished) continue;
+      if (im.skip_this_slice(*rp, rounds)) continue;
+      if (obs::Tracer* tr = im.tracer; tr != nullptr) {
+        tr->begin(rp->obs_slice_track, "slice", "slice", rounds);
+        obs::thread_scope() = {tr, rp->obs_track, rounds};
+      }
+      switch_fiber(im.controller, rp->fiber);
+      if (obs::Tracer* tr = im.tracer; tr != nullptr) {
+        obs::thread_scope() = {};
+        tr->end(rp->obs_slice_track);
+      }
+    }
+    // Guarded mode is the exception barrier: a throwing party is already
+    // parked as Finished-with-error and the run simply continues without
+    // it. Legacy mode aborts the whole run on the first error.
+    if (!guarded) {
+      for (auto& r : im.runners) {
+        if (r->error && !failure) failure = r->error;
+      }
+      if (failure) {
+        end_round_span();
+        break;
+      }
+    }
+    if (all_finished()) {
+      end_round_span();
+      break;
+    }
+    if (rounds >= max_rounds) {
+      timed_out = true;
+      end_round_span();
+      break;
+    }
+    if (!im.deliver_round(rounds)) {
+      transport_failed = true;
+      timed_out = true;  // stragglers report as TimedOut below
+      end_round_span();
+      break;
+    }
+    end_round_span();
+    ++rounds;
+  }
+  if (failure || timed_out) {
+    // Unwind every parked fiber so protocol stack frames run their
+    // destructors before the stacks are freed.
+    im.abort = true;
+    for (auto& rp : im.runners) {
+      if (rp->state != Runner::State::Finished) {
+        switch_fiber(im.controller, rp->fiber);
+      }
+    }
+    im.abort = false;
+  } else {
+    im.record_leftovers(rounds);
+  }
+  for (auto& rp : im.runners) rp->fiber.reset();
 
   // Legacy (non-guarded) failure plumbing: the caller rethrows.
   *first_error = failure;
@@ -1160,13 +1045,11 @@ RunReport SyncNetwork::run_impl(std::size_t max_rounds, bool guarded,
     *failure_reason =
         transport_failed
             ? "SyncNetwork: transport failure: " + im.transport_error
-            : (watchdog_fired ? "SyncNetwork: round stalled (watchdog)"
-                              : "SyncNetwork: max round count exceeded");
+            : "SyncNetwork: max round count exceeded";
   }
 
   RunReport rep;
   rep.timed_out = timed_out;
-  rep.watchdog_fired = watchdog_fired;
   rep.transport_failed = transport_failed;
   rep.transport_error = im.transport_error;
   RunStats& stats = rep.stats;
@@ -1178,10 +1061,6 @@ RunReport SyncNetwork::run_impl(std::size_t max_rounds, bool guarded,
       PayloadMetrics::thread_bytes_copied() - ctl_bytes_copied_before;
   stats.bytes_by_party.assign(static_cast<std::size_t>(n_), 0);
   for (const auto& r : im.runners) {
-    // Runner-thread copy deltas are zero in the fiber backend (all fibers
-    // share the controller thread, already counted above).
-    stats.payload_copies += r->payload_copies;
-    stats.payload_bytes_copied += r->payload_bytes_copied;
     stats.bytes_by_party[static_cast<std::size_t>(r->party)] += r->bytes_sent;
     if (r->honest) {
       stats.honest_bytes += r->bytes_sent;

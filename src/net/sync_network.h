@@ -10,24 +10,19 @@
 // Honest parties run protocol code as straight-line functions;
 // `PartyContext::advance()` is the round barrier. This lets the
 // implementation mirror the paper's pseudocode one statement at a time.
-// Within a round the engine releases parties from the barrier under an
-// `ExecPolicy`: serially (the reference schedule) or on a fixed-size window
-// of `threads` concurrently-computing parties. Each party stages sends into
-// a runner-local outbox and draws from a per-party RNG stream split off the
-// root seed, so both schedules are bit-for-bit transcript-identical --
-// inboxes are ordered by sender id, metered bits are summed per party, and
-// honest control flow depends only on agreed values.
 //
-// Execution backends: the serial schedule (window == 1) runs every party as
-// a cooperative fiber on the controller's own OS thread -- context switches
-// are a user-space stack swap (~100 ns) instead of a kernel thread
-// round-trip, and no locks are taken anywhere. Parallel windows run parties
-// on dedicated OS threads behind the barrier mutex exactly as before. Both
-// backends execute parties in the same canonical order and produce
-// identical transcripts; under ThreadSanitizer the fiber backend is
-// disabled (serial falls back to OS threads) so the race checker sees real
-// threads. One caveat: the fiber backend cannot interrupt a party that
-// loops forever without calling advance() (the OS-thread watchdog can).
+// Execution: every party is a cooperative fiber on the caller's own OS
+// thread. Within a round the engine swaps into the parties one at a time in
+// canonical runner-table order; a release is a user-space stack swap
+// (~100 ns), and no locks are taken anywhere. Each party stages sends into
+// a runner-local outbox merged at the barrier in (sender id, send order)
+// order and draws from a per-party RNG stream split off the root seed, so a
+// run is a pure function of its configuration: inboxes are ordered by
+// sender id, metered bits are summed per party, and honest control flow
+// depends only on agreed values. The fiber swaps are annotated for ASan and
+// TSan, so sanitizer builds check the backend that ships. The round budget
+// (`max_rounds`) is enforced at advance(); a party that loops forever
+// without calling advance() is a protocol bug the engine cannot interrupt.
 //
 // Wire traffic is carried as refcounted immutable `Payload` views (see
 // net/payload.h): `send_all` stages one buffer shared by all n recipients,
@@ -94,9 +89,10 @@ struct Envelope {
 
 /// Everything observable about one execution, in canonical order: per round,
 /// the delivered messages (after the sender-id/sequence merge, byzantine
-/// traffic last) and the bytes the honest parties staged. Serial and
-/// parallel schedules of the same run must compare equal. Messages hold
-/// payload *views*; equality is content equality.
+/// traffic last) and the bytes the honest parties staged. Two runs of the
+/// same configuration -- alone, on an engine worker, or over the wire --
+/// must compare equal. Messages hold payload *views*; equality is content
+/// equality.
 struct Transcript {
   struct Msg {
     int from = -1;
@@ -224,7 +220,7 @@ class ByzantineStrategy {
 ///
 /// Determinism contract: the tap is driven solely by the runner's own
 /// execution context, in the wrapped protocol's program order, so tapped
-/// executions are transcript-identical across ExecPolicy schedules.
+/// executions replay transcript-identically.
 class SendTap {
  public:
   using Emit = std::function<void(int to, Payload payload)>;
@@ -256,9 +252,8 @@ class SendTap {
 /// authoritative totals come from RunStats.
 ///
 /// Implementations must not touch the network and must not block on
-/// anything fed by this same controller thread (in the OS-thread backend
-/// the hook runs with the barrier mutex held). Lock-free handoff -- e.g. an
-/// SPSC ring drained by another thread -- is the intended shape.
+/// anything fed by this same controller thread. Lock-free handoff -- e.g.
+/// an SPSC ring drained by another thread -- is the intended shape.
 class RoundObserver {
  public:
   virtual ~RoundObserver() = default;
@@ -299,12 +294,11 @@ struct RunStats {
 
 /// Structured result of a guarded run (`run_report`): per-party outcomes
 /// instead of hang-or-throw. `stats.rounds` is always the last *completed*
-/// round, including when the round cap or watchdog ended the run.
+/// round, including when the round cap ended the run.
 struct RunReport {
   RunStats stats;
   std::vector<PartyOutcome> outcomes;  // indexed by party id
-  bool timed_out = false;        // round cap (or watchdog) ended the run
-  bool watchdog_fired = false;   // a round slice stalled past the watchdog
+  bool timed_out = false;              // round cap ended the run
 
   /// A RoundRouter failed to carry a round (socket error, daemon timeout,
   /// wire-integrity mismatch). The run ended like a round-cap hit --
@@ -347,14 +341,14 @@ class SyncNetwork {
   void set_split_brain(int id, ProtocolFn a, ProtocolFn b,
                        std::set<int> recipients_of_a);
 
-  /// Chooses the round-slice schedule (default: ExecPolicy auto, i.e.
-  /// COCA_THREADS or serial). Must be called before run().
+  /// Accepts only the serial schedule (threads 0 or 1) and throws on any
+  /// other value; kept so existing callers compile (see net/exec_policy.h).
   void set_exec_policy(ExecPolicy policy);
 
   /// Installs a schedule of environment faults (see net/fault_plan.h);
-  /// validated against n. The plan is interpreted identically under every
-  /// ExecPolicy, so faulty runs replay bit-for-bit. An empty plan (the
-  /// default) leaves every code path and metric untouched.
+  /// validated against n. The plan is interpreted deterministically, so
+  /// faulty runs replay bit-for-bit. An empty plan (the default) leaves
+  /// every code path and metric untouched.
   void set_fault_plan(FaultPlan plan);
   const FaultPlan& fault_plan() const;
 
@@ -396,7 +390,7 @@ class SyncNetwork {
   /// Guarded run: every party step executes behind an exception barrier. A
   /// throwing party is marked `AbortedWithEvidence` (the run continues
   /// without it), a FaultPlan crash-stop marks it `Crashed`, hitting
-  /// `max_rounds` or the watchdog marks the stragglers `TimedOut` -- the
+  /// `max_rounds` marks the stragglers `TimedOut` -- the
   /// report always comes back with the last completed round in
   /// `stats.rounds`; nothing short of a simulator bug throws.
   RunReport run_report(std::size_t max_rounds = kDefaultMaxRounds);

@@ -17,9 +17,9 @@
 //    context -- the engine guarantees a runner's spans/counters are touched
 //    only while that runner computes -- so no locks are taken anywhere.
 //  * Per-track span sequences follow protocol program order, which the
-//    round engine keeps schedule-independent; everything except wall-clock
-//    timestamps is therefore bit-identical between the serial and windowed
-//    thread schedules (tests/test_obs.cpp pins this).
+//    round engine fixes; everything except wall-clock timestamps is
+//    therefore bit-identical from run to run (tests/test_obs.cpp pins
+//    this).
 //  * With `Options::timing == false` no clock is ever read and every ns
 //    field is 0: the canonical mode the determinism test compares in.
 //

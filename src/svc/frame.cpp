@@ -129,7 +129,7 @@ std::span<std::uint8_t> FrameDecoder::writable(std::size_t min) {
     }
   }
   std::shared_ptr<Bytes> fresh =
-      net::BufferPool::instance().acquire(std::max(needed, kSlabChunk));
+      net::BufferPool::instance().acquire(std::max(needed, kSlabChunk), lane_);
   if (remainder > 0) {
     std::memcpy(fresh->data(), slab_->data() + off_, remainder);
     net::PayloadMetrics::add_wire_copy(remainder);

@@ -158,12 +158,20 @@ Bytes encode_frame(const FrameHeader& h,
 /// Incremental frame parser over an arbitrarily fragmented byte stream.
 class FrameDecoder {
  public:
+  /// Receive slabs come from `lane` of the process-wide BufferPool.
+  explicit FrameDecoder(
+      net::BufferPool::Lane lane = net::BufferPool::Lane::kClient)
+      : lane_(lane) {}
+
   /// Slab tail readers fill directly (the zero-copy receive path):
   /// guarantees at least `min` writable bytes -- switching to a fresh pool
   /// slab when the current one is short, carrying over any partial frame --
   /// and returns the whole writable tail (usually much larger than `min`).
   /// `min` must be at most kMaxFramePayload + kHeaderSize. Do not call
-  /// after failed().
+  /// after failed(). Socket readers pass the default: a slab is then
+  /// filled to its last byte before the next one is taken, so where slabs
+  /// start and end -- and which size class they come from -- depends only
+  /// on the byte stream, not on how the kernel split it into reads.
   std::span<std::uint8_t> writable(std::size_t min = 1);
   /// Marks `n` bytes of the last writable() span as filled by the reader.
   void commit(std::size_t n);
@@ -202,6 +210,7 @@ class FrameDecoder {
 
   void fail(std::string reason);
 
+  net::BufferPool::Lane lane_;
   std::shared_ptr<Bytes> slab_;  // current receive slab (append-only)
   std::size_t off_ = 0;          // parse cursor within slab_
   std::size_t filled_ = 0;       // committed bytes within slab_

@@ -34,9 +34,9 @@ class Rng {
   /// Seed of child stream `stream_id` of `seed`. Both words pass through the
   /// splitmix64 finalizer before being combined, so related parent seeds and
   /// consecutive stream ids still yield uncorrelated child streams. This is
-  /// the contract the parallel round engine relies on for per-party RNG
-  /// streams: the stream depends only on (root seed, stream id), never on
-  /// draw order or execution interleaving. Pinned by tests/test_rng.cpp --
+  /// the contract the round engine relies on for per-party RNG streams:
+  /// the stream depends only on (root seed, stream id), never on draw
+  /// order or execution interleaving. Pinned by tests/test_rng.cpp --
   /// changing this function is a break in reproducibility, not a refactor.
   static constexpr std::uint64_t derive_stream_seed(std::uint64_t seed,
                                                     std::uint64_t stream_id) {

@@ -68,6 +68,23 @@ TEST(BufferPool, DistinctClassesDoNotShareFreeLists) {
   EXPECT_EQ(pool.free_slabs(), 1u);  // the 4 KiB slab is still cached
 }
 
+TEST(BufferPool, LanesDoNotShareFreeLists) {
+  // A slab returns to the lane it came from: a client-lane request never
+  // takes a slab the daemon lane released, and vice versa.
+  BufferPool& pool = BufferPool::instance();
+  pool.trim();
+  auto daemon_slab = pool.acquire(100, BufferPool::Lane::kDaemon);
+  const Bytes* raw = daemon_slab.get();
+  daemon_slab.reset();
+  ASSERT_EQ(pool.free_slabs(), 1u);
+  const auto before = pool.stats();
+  auto client_slab = pool.acquire(100, BufferPool::Lane::kClient);
+  EXPECT_NE(client_slab.get(), raw);
+  EXPECT_EQ(pool.stats().slab_allocs, before.slab_allocs + 1);
+  auto again = pool.acquire(100, BufferPool::Lane::kDaemon);
+  EXPECT_EQ(again.get(), raw);
+}
+
 TEST(BufferPool, OversizeSlabsAreExactAndNotCached) {
   BufferPool& pool = BufferPool::instance();
   pool.trim();

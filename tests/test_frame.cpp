@@ -1,6 +1,8 @@
 // Wire framing (svc/frame.h): round-trip fidelity and decoder robustness
 // against adversarially fragmented and malformed byte streams.
+#include <algorithm>
 #include <cstring>
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -276,6 +278,43 @@ TEST(Frame, ResetRecoversFromTornFrameWithoutLeakingSlabs) {
   }  // decoder + payload views dropped: slabs return to the pool
   EXPECT_EQ(outstanding(), before)
       << "torn-frame reset must not strand receive slabs";
+}
+
+TEST(Frame, SlabLayoutDoesNotDependOnReadSplits) {
+  // A socket reader calls writable() with the default minimum, so every
+  // slab is filled to its last byte before the next is taken: how many
+  // slabs a stream occupies is a function of the bytes alone, whatever
+  // sizes the kernel hands them over in.
+  Bytes stream;
+  for (std::uint32_t i = 0; i < 40; ++i) {
+    Frame f = sample_frame(i);
+    f.payload = net::Payload(Bytes(4096, static_cast<std::uint8_t>(i)));
+    const Bytes w = wire_bytes(f);
+    stream.insert(stream.end(), w.begin(), w.end());
+  }
+  const auto slabs_taken = [&stream](std::size_t chunk) {
+    const auto taken = [] {
+      const net::BufferPool::Stats s = net::BufferPool::instance().stats();
+      return s.slab_allocs + s.slab_reuses;
+    };
+    const std::uint64_t before = taken();
+    FrameDecoder dec;
+    std::vector<Frame> held;  // keep every view alive, like a round's inbox
+    for (std::size_t off = 0; off < stream.size();) {
+      const std::span<std::uint8_t> w = dec.writable();
+      const std::size_t n = std::min({chunk, w.size(), stream.size() - off});
+      std::memcpy(w.data(), stream.data() + off, n);
+      dec.commit(n);
+      off += n;
+      while (std::optional<Frame> f = dec.next()) held.push_back(*f);
+    }
+    EXPECT_EQ(held.size(), 40u);
+    return taken() - before;
+  };
+  const std::uint64_t whole = slabs_taken(stream.size());
+  for (const std::size_t chunk : {1000u, 4096u, 4120u, 65536u}) {
+    EXPECT_EQ(slabs_taken(chunk), whole) << "chunk=" << chunk;
+  }
 }
 
 TEST(Frame, OversizedLengthFailsBeforeAllocation) {

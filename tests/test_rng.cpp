@@ -1,6 +1,6 @@
 // Deterministic PRNG (xoshiro256**): reproducibility and sanity of ranges,
 // plus pinned regression values for the splittable per-party streams the
-// parallel round engine hands to every protocol instance.
+// round engine hands to every protocol instance.
 #include "util/rng.h"
 
 #include <gtest/gtest.h>

@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include "adversary/fuzzer.h"
 #include "adversary/strategies.h"
+#include "ba/phase_king.h"
+#include "ba/turpin_coan.h"
+#include "ca/fixed_length_ca.h"
 #include "tests/support.h"
 #include "util/wire.h"
 
@@ -246,6 +250,63 @@ TEST(SyncNetwork, DeterministicAcrossRuns) {
     return run.outputs;
   };
   EXPECT_EQ(execute(), execute());
+}
+
+TEST(SyncNetwork, TranscriptMetersSumToRunTotals) {
+  // Per-round honest bytes must add up to the run's honest-byte meter, so
+  // "identical per-round metered bits" is the same statement as "identical
+  // transcripts" plus this test.
+  constexpr std::size_t kEll = 64;
+  ba::PhaseKingBinary bin;
+  ba::TurpinCoan tc{bin};
+  const ca::FixedLengthCA proto{ba::BAKit{&bin, &tc}};
+  SyncNetwork net(7, 2);
+  Transcript transcript;
+  net.set_transcript(&transcript);
+  for (int id = 0; id < 7; ++id) {
+    if (id == 0 || id == 2) {
+      net.set_byzantine(id, std::make_shared<adv::Replay>());
+      continue;
+    }
+    net.set_honest(id, [&proto, id](PartyContext& ctx) {
+      Rng rng = Rng::stream(7, static_cast<std::uint64_t>(id));
+      Bitstring v = rng.bits(kEll);
+      v.set_bit(0, true);  // every party's value has the same length
+      (void)proto.run(ctx, kEll, std::move(v));
+    });
+  }
+  const RunStats stats = net.run();
+  std::uint64_t sum = 0;
+  for (const auto& round : transcript.rounds) sum += round.honest_bytes;
+  EXPECT_EQ(sum, stats.honest_bytes);
+  EXPECT_GE(transcript.rounds.size(), stats.rounds);
+}
+
+TEST(SyncNetwork, ThreadWindowIsRejectedEverywhere) {
+  // The serial fiber schedule is the only backend; every surface that
+  // still carries a `threads` field accepts 0 or 1 and rejects the rest.
+  SyncNetwork net(4, 1);
+  EXPECT_NO_THROW(net.set_exec_policy(ExecPolicy::serial()));
+  EXPECT_THROW(net.set_exec_policy(ExecPolicy{8}), Error);
+
+  ca::SimConfig cfg;
+  cfg.n = 4;
+  cfg.t = 1;
+  cfg.inputs.assign(4, BigInt(5));
+  cfg.threads = 8;
+  EXPECT_THROW((void)ca::run_simulation(ca::ConvexAgreement{}, cfg), Error);
+
+  adv::CorpusEntry entry;
+  entry.c.protocol = "PiZ";
+  entry.c.n = 4;
+  entry.c.t = 1;
+  std::string json = adv::to_json(entry);
+  EXPECT_NO_THROW((void)adv::corpus_entry_from_json(json));
+  const std::string field = "\"threads\": 0";
+  const std::size_t at = json.find(field);
+  ASSERT_NE(at, std::string::npos);
+  json.replace(at, field.size(), "\"threads\": 8");
+  EXPECT_THROW((void)adv::corpus_entry_from_json(json), Error);
 }
 
 }  // namespace

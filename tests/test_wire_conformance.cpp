@@ -93,7 +93,6 @@ adv::FuzzCase base_case(const std::string& protocol, int n) {
   c.t = (n - 1) / 3;
   c.ell = 16;
   c.input_seed = 0xC0CA + n;
-  c.threads = 1;
   return c;
 }
 
@@ -146,6 +145,12 @@ TEST_F(WireConformance, RoundTripIsZeroCopyAndAllocationFree) {
   // rounds, which makes steady-state slab demand depend on read
   // fragmentation. Retention's own pool discipline (no leak once sessions
   // close) is asserted by the wire-recovery chaos suite.
+  //
+  // The daemon and the client share this process's pool, but on separate
+  // lanes: the client may start decoding a relayed round before the
+  // daemon's write of it has returned, and on a shared free list that
+  // overlap made the steady state one-to-four slabs larger than a warm-up
+  // without it.
   const std::string path = unique_uds_path("zerocopy");
   svc::DaemonOptions dopt;
   dopt.uds_path = path;
@@ -179,14 +184,6 @@ TEST_F(WireConformance, RoundTripIsZeroCopyAndAllocationFree) {
   EXPECT_EQ(steady, 0u) << "steady-state sessions must reuse pooled slabs";
   daemon.stop();
   ::unlink(path.c_str());
-}
-
-TEST_F(WireConformance, OsThreadBackendOverWire) {
-  // threads > 1 selects the OS-thread party backend; the round barrier
-  // still funnels through one router call per round.
-  adv::FuzzCase c = base_case("BAPlus", 4);
-  c.threads = 4;
-  expect_conformant(c);
 }
 
 TEST_F(WireConformance, WireNetworkFacadeRunsProtocol) {
