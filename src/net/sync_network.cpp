@@ -10,14 +10,13 @@
 #include "obs/obs.h"
 
 #include <sys/mman.h>
-#include <ucontext.h>
 #include <unistd.h>
 
-// Every party runs as a ucontext fiber, which the sanitizers cannot follow
-// on their own: ASan must be told which stack is live (or it reports
-// stack-use-after-scope when an exception unwinds a fiber stack), and TSan
-// needs one fiber context per stack. The annotations compile only into
-// sanitizer builds.
+// Every party runs as a fiber with its own stack, which the sanitizers
+// cannot follow on their own: ASan must be told which stack is live (or it
+// reports stack-use-after-scope when an exception unwinds a fiber stack),
+// and TSan needs one fiber context per stack. The annotations compile only
+// into sanitizer builds.
 #if defined(__SANITIZE_ADDRESS__)
 #define COCA_SANITIZE_ADDRESS 1
 #elif defined(__has_feature)
@@ -33,11 +32,70 @@
 #endif
 #endif
 #ifdef COCA_SANITIZE_ADDRESS
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 #ifdef COCA_SANITIZE_THREAD
 #include <sanitizer/tsan_interface.h>
 #endif
+
+#if !defined(__x86_64__)
+#error "coca's fiber switch is written for x86-64 only"
+#endif
+
+// The fiber switch: saves the System V callee-saved registers and the
+// floating-point control state (MXCSR, x87 control word) on the current
+// stack, stores the stack pointer in *save_sp, loads to_sp and restores the
+// same set from there. No signal mask is touched, so a switch makes no
+// system call. Frame, from the saved stack pointer up:
+//   [x87 cw | mxcsr | r15 | r14 | r13 | r12 | rbx | rbp | return address]
+// A new fiber's hand-built frame "returns" into coca_fiber_entry, which
+// calls r13(r12) on a 16-byte-aligned stack; that call never returns.
+extern "C" void coca_fiber_switch(void** save_sp, void* to_sp);
+extern "C" void coca_fiber_entry();
+asm(R"(
+  .text
+  .globl coca_fiber_switch
+  .hidden coca_fiber_switch
+  .type coca_fiber_switch, @function
+  .p2align 4
+coca_fiber_switch:
+  pushq %rbp
+  pushq %rbx
+  pushq %r12
+  pushq %r13
+  pushq %r14
+  pushq %r15
+  subq $16, %rsp
+  stmxcsr 8(%rsp)
+  fnstcw (%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  fldcw (%rsp)
+  ldmxcsr 8(%rsp)
+  addq $16, %rsp
+  popq %r15
+  popq %r14
+  popq %r13
+  popq %r12
+  popq %rbx
+  popq %rbp
+  ret
+  .size coca_fiber_switch, .-coca_fiber_switch
+
+  .globl coca_fiber_entry
+  .hidden coca_fiber_entry
+  .type coca_fiber_entry, @function
+  .p2align 4
+coca_fiber_entry:
+  .cfi_startproc
+  .cfi_undefined rip
+  movq %r12, %rdi
+  callq *%r13
+  ud2
+  .cfi_endproc
+  .size coca_fiber_entry, .-coca_fiber_entry
+)");
 
 namespace coca::net {
 
@@ -89,11 +147,19 @@ class FiberStack {
   std::size_t page_ = 0;
 };
 
+/// This thread's finished fiber stacks, reused by the next fiber it starts.
+/// It holds at most as many stacks as the thread ever ran fibers at once,
+/// and frees them at thread exit; a stack never moves to another thread.
+std::vector<std::unique_ptr<FiberStack>>& stack_free_list() {
+  thread_local std::vector<std::unique_ptr<FiberStack>> free_list;
+  return free_list;
+}
+
 /// One execution context of the engine: the controller (which runs on the
 /// caller's own stack) or a party fiber (which owns a FiberStack), plus what
 /// the sanitizers need to follow a swap onto it.
 struct Fiber {
-  ucontext_t ctx = {};
+  void* sp = nullptr;  // saved stack pointer while switched out
   std::unique_ptr<FiberStack> stack;  // null for the controller
 #ifdef COCA_SANITIZE_ADDRESS
   // Bounds of this context's stack. A party's are set when its stack is
@@ -105,19 +171,39 @@ struct Fiber {
   void* tsan = nullptr;
 #endif
 
-  /// Makes this a fresh fiber on its own stack that runs `entry(hi, lo)`
-  /// when first swapped in. makecontext only passes ints, so a pointer
-  /// argument travels as halves.
-  void start(void (*entry)(unsigned, unsigned), const void* arg) {
-    stack = std::make_unique<FiberStack>();
-    getcontext(&ctx);
-    ctx.uc_stack.ss_sp = stack->sp();
-    ctx.uc_stack.ss_size = stack->size();
-    ctx.uc_link = nullptr;  // entry never returns (see exit_fiber)
-    const auto ptr = reinterpret_cast<std::uintptr_t>(arg);
-    makecontext(&ctx, reinterpret_cast<void (*)()>(entry), 2,
-                static_cast<unsigned>(ptr >> 32),
-                static_cast<unsigned>(ptr & 0xFFFFFFFFu));
+  /// Makes this a fresh fiber that runs `entry(arg)` when first switched
+  /// in, on a stack from this thread's free list (or a new one). It starts
+  /// with the caller's floating-point control state.
+  template <class T>
+  void start(void (*entry)(T*), T* arg) {
+    std::vector<std::unique_ptr<FiberStack>>& free_list = stack_free_list();
+    if (free_list.empty()) {
+      stack = std::make_unique<FiberStack>();
+    } else {
+      stack = std::move(free_list.back());
+      free_list.pop_back();
+    }
+#ifdef COCA_SANITIZE_ADDRESS
+    // A reused stack keeps the poisoned redzones of the frames its last
+    // fiber never returned from.
+    __asan_unpoison_memory_region(stack->sp(), stack->size());
+#endif
+    char* const top = static_cast<char*>(stack->sp()) + stack->size();
+    auto* frame = reinterpret_cast<std::uint64_t*>(
+        reinterpret_cast<std::uintptr_t>(top) & ~std::uintptr_t{15});
+    *--frame = reinterpret_cast<std::uintptr_t>(&coca_fiber_entry);
+    *--frame = 0;  // rbp: ends frame-pointer walks
+    *--frame = 0;  // rbx
+    *--frame = reinterpret_cast<std::uintptr_t>(arg);    // r12
+    *--frame = reinterpret_cast<std::uintptr_t>(entry);  // r13
+    *--frame = 0;  // r14
+    *--frame = 0;  // r15
+    std::uint32_t mxcsr = 0;
+    std::uint16_t x87_cw = 0;
+    asm volatile("stmxcsr %0\n\tfnstcw %1" : "=m"(mxcsr), "=m"(x87_cw));
+    *--frame = mxcsr;
+    *--frame = x87_cw;
+    sp = frame;
 #ifdef COCA_SANITIZE_ADDRESS
     stack_bottom = stack->sp();
     stack_size = stack->size();
@@ -127,13 +213,14 @@ struct Fiber {
 #endif
   }
 
-  /// Frees a finished fiber's stack; called from the controller.
+  /// Returns a finished fiber's stack to this thread's free list; called
+  /// from the controller.
   void reset() {
 #ifdef COCA_SANITIZE_THREAD
     if (tsan != nullptr) __tsan_destroy_fiber(tsan);
     tsan = nullptr;
 #endif
-    stack.reset();
+    if (stack != nullptr) stack_free_list().push_back(std::move(stack));
   }
 
   /// The controller's context is the calling thread's own stack.
@@ -144,9 +231,10 @@ struct Fiber {
   }
 };
 
-/// Swaps from `self` to `to` and returns when `to` swaps back. Fibers only
-/// ever swap with the controller, so the context resuming `self` is always
-/// `to`, and ASan's report of the stack we came back from describes `to`.
+/// Switches from `self` to `to` and returns when `to` switches back. Fibers
+/// only ever switch with the controller, so the context resuming `self` is
+/// always `to`, and ASan's report of the stack we came back from describes
+/// `to`.
 void switch_fiber(Fiber& self, Fiber& to) {
 #ifdef COCA_SANITIZE_ADDRESS
   void* fake_stack = nullptr;
@@ -155,7 +243,7 @@ void switch_fiber(Fiber& self, Fiber& to) {
 #ifdef COCA_SANITIZE_THREAD
   __tsan_switch_to_fiber(to.tsan, 0);
 #endif
-  swapcontext(&self.ctx, &to.ctx);
+  coca_fiber_switch(&self.sp, to.sp);
 #ifdef COCA_SANITIZE_ADDRESS
   __sanitizer_finish_switch_fiber(fake_stack, &to.stack_bottom, &to.stack_size);
 #endif
@@ -181,7 +269,7 @@ void enter_fiber(Fiber& controller) {
 #ifdef COCA_SANITIZE_THREAD
   __tsan_switch_to_fiber(controller.tsan, 0);
 #endif
-  swapcontext(&self.ctx, &controller.ctx);
+  coca_fiber_switch(&self.sp, controller.sp);
   std::abort();  // a finished fiber is never resumed
 }
 
@@ -230,7 +318,7 @@ struct SyncNetwork::Runner {
   std::unique_ptr<PartyContext> ctx;
 
   // The runner's cooperative fiber on the controller's thread; releasing
-  // it for a round slice is one stack swap.
+  // it for a round slice is one coca_fiber_switch.
   Fiber fiber;
   Impl* impl = nullptr;  // backpointer for the fiber trampoline
 
@@ -258,12 +346,22 @@ struct SyncNetwork::Runner {
   std::vector<Staged> outbox;
   std::uint64_t bytes_sent = 0;
   std::uint64_t messages_sent = 0;
-  std::vector<std::string> phase_stack;
+  /// One open PhaseScope. The counters are its entries in phase_bytes and
+  /// phase_leaf_bytes, looked up at the first send that needs them (map
+  /// nodes never move), so a send compares no strings and a phase that
+  /// sends nothing creates no key.
+  struct PhaseFrame {
+    std::string name;
+    std::uint64_t* bytes = nullptr;
+    std::uint64_t* leaf_bytes = nullptr;
+  };
+  std::vector<PhaseFrame> phase_stack;
   std::map<std::string, std::uint64_t> phase_bytes;
   // Leaf-charged companion to phase_bytes: each send counts only in the
   // innermost open phase (kUnattributedPhase when none), so the values sum
-  // exactly to bytes_sent. Heterogeneous lookup avoids a per-send string.
-  std::map<std::string, std::uint64_t, std::less<>> phase_leaf_bytes;
+  // exactly to bytes_sent.
+  std::map<std::string, std::uint64_t> phase_leaf_bytes;
+  PhaseFrame unphased{kUnattributedPhase};  // leaf of sends outside phases
   // Phase stack at the moment an unwind first popped it; seals the "where
   // did this party die" attribution for PartyOutcome::phase. Cleared at
   // every slice start so protocol-internal caught exceptions don't stick.
@@ -273,10 +371,9 @@ struct SyncNetwork::Runner {
   int obs_track = -1;        // phase + kernel spans, send charges
   int obs_slice_track = -1;  // one span per executed round slice
 
-  /// makecontext entry point: runs the protocol function inside the fiber
-  /// and swaps back to the controller when it finishes (or unwinds).
-  /// makecontext only passes ints, so the Runner pointer travels as halves.
-  static void fiber_trampoline(unsigned hi, unsigned lo);
+  /// Fiber entry point: runs the protocol function inside the fiber and
+  /// swaps back to the controller when it finishes (or unwinds).
+  static void fiber_trampoline(Runner* r);
 };
 
 struct SyncNetwork::Scripted {
@@ -627,9 +724,7 @@ struct SyncNetwork::Impl {
   int t_for_views = 0;  // network t, for RoundView
 };
 
-void SyncNetwork::Runner::fiber_trampoline(unsigned hi, unsigned lo) {
-  auto* r = reinterpret_cast<Runner*>((static_cast<std::uintptr_t>(hi) << 32) |
-                                      static_cast<std::uintptr_t>(lo));
+void SyncNetwork::Runner::fiber_trampoline(Runner* r) {
   Fiber& controller = r->impl->controller;
   enter_fiber(controller);
   try {
@@ -813,25 +908,23 @@ void SyncNetwork::runner_stage(std::size_t runner_index, int to,
   const std::uint64_t size = payload.size();
   r.bytes_sent += size;
   r.messages_sent += 1;
-  for (const std::string& name : r.phase_stack) {
-    r.phase_bytes[name] += size;
+  for (Runner::PhaseFrame& f : r.phase_stack) {
+    if (f.bytes == nullptr) f.bytes = &r.phase_bytes[f.name];
+    *f.bytes += size;
   }
-  const std::string_view leaf = r.phase_stack.empty()
-                                    ? std::string_view(kUnattributedPhase)
-                                    : std::string_view(r.phase_stack.back());
-  const auto it = r.phase_leaf_bytes.find(leaf);
-  if (it != r.phase_leaf_bytes.end()) {
-    it->second += size;
-  } else {
-    r.phase_leaf_bytes.emplace(std::string(leaf), size);
+  Runner::PhaseFrame& leaf =
+      r.phase_stack.empty() ? r.unphased : r.phase_stack.back();
+  if (leaf.leaf_bytes == nullptr) {
+    leaf.leaf_bytes = &r.phase_leaf_bytes[leaf.name];
   }
+  *leaf.leaf_bytes += size;
   if (obs::Tracer* tr = impl_->tracer; tr != nullptr) {
     tr->charge(r.obs_track, size, 1);
     // Per-(party, phase, message-kind) attribution; the party is the track.
     std::string key;
-    key.reserve(leaf.size() + 16);
+    key.reserve(leaf.name.size() + 16);
     key += "bytes.";
-    key += leaf;
+    key += leaf.name;
     key += '.';
     key += kind;
     tr->count(r.obs_track, key, size);
@@ -848,7 +941,7 @@ void SyncNetwork::runner_push_phase(std::size_t runner_index,
   if (obs::Tracer* tr = impl_->tracer; tr != nullptr) {
     tr->begin(r.obs_track, name, "phase", impl_->current_round);
   }
-  r.phase_stack.push_back(std::move(name));
+  r.phase_stack.push_back({std::move(name)});
 }
 
 void SyncNetwork::runner_pop_phase(std::size_t runner_index) {
@@ -857,9 +950,9 @@ void SyncNetwork::runner_pop_phase(std::size_t runner_index) {
   if (std::uncaught_exceptions() > 0 && r.fail_phase.empty()) {
     // First pop of a stack unwind (protocol exception, AbortSignal or
     // CrashSignal): seal the full phase stack as the failure location.
-    for (const std::string& name : r.phase_stack) {
+    for (const Runner::PhaseFrame& f : r.phase_stack) {
       if (!r.fail_phase.empty()) r.fail_phase += '/';
-      r.fail_phase += name;
+      r.fail_phase += f.name;
     }
   }
   if (obs::Tracer* tr = impl_->tracer; tr != nullptr) {
@@ -870,7 +963,7 @@ void SyncNetwork::runner_pop_phase(std::size_t runner_index) {
 
 std::vector<Envelope> SyncNetwork::runner_advance(std::size_t runner_index) {
   Runner& r = *impl_->runners[runner_index];
-  // Cooperative barrier: one stack swap to the controller, which resumes
+  // Cooperative barrier: one fiber switch to the controller, which resumes
   // this fiber at the start of the next round slice. No locks: the whole
   // network runs on one OS thread. Slice spans and the kernel-span thread
   // scope are managed by the controller around the swap.

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cfenv>
+#include <thread>
+
 #include "adversary/fuzzer.h"
 #include "adversary/strategies.h"
 #include "ba/phase_king.h"
@@ -108,6 +111,55 @@ TEST(SyncNetwork, PhaseAttributionNests) {
   // outer sees both sends; inner only its own. Two parties, two recipients.
   EXPECT_EQ(stats.honest_bytes_by_phase.at("outer"), 2u * 2u * (4u + 2u));
   EXPECT_EQ(stats.honest_bytes_by_phase.at("inner"), 2u * 2u * 2u);
+}
+
+TEST(SyncNetwork, PhaseMeteringKeysAndNesting) {
+  SyncNetwork net(2, 0);
+  for (int id = 0; id < 2; ++id) {
+    net.set_honest(id, [](PartyContext& ctx) {
+      ctx.send(0, Bytes(3, 0));  // outside every phase
+      {
+        auto silent = ctx.phase("silent");  // never sends
+        (void)ctx.advance();
+      }
+      {
+        auto outer = ctx.phase("same");
+        auto inner = ctx.phase("same");
+        ctx.send(1, Bytes(5, 0));
+      }
+      {
+        auto again = ctx.phase("again");
+        ctx.send(0, Bytes(7, 0));
+        {
+          auto child = ctx.phase("child");
+          ctx.send(0, Bytes(1, 0));
+        }
+        ctx.send(0, Bytes(2, 0));  // after the child popped
+      }
+      {
+        auto again = ctx.phase("again");  // re-entered after its pop
+        ctx.send(1, Bytes(11, 0));
+      }
+      (void)ctx.advance();
+    });
+  }
+  const RunStats stats = net.run();
+  // Inclusive: a nested frame of the same name counts again, a re-entered
+  // phase adds to its key, and a phase that never sent has no key.
+  const std::map<std::string, std::uint64_t> inclusive{
+      {"same", 2u * (5u + 5u)},
+      {"again", 2u * (7u + 1u + 2u + 11u)},
+      {"child", 2u * 1u}};
+  EXPECT_EQ(stats.honest_bytes_by_phase, inclusive);
+  // Leaf-charged: every byte on the innermost phase, unphased bytes on
+  // kUnattributedPhase, and the values sum to honest_bytes.
+  const std::map<std::string, std::uint64_t> leaf{
+      {kUnattributedPhase, 2u * 3u},
+      {"same", 2u * 5u},
+      {"again", 2u * (7u + 2u + 11u)},
+      {"child", 2u * 1u}};
+  EXPECT_EQ(stats.phase_breakdown, leaf);
+  EXPECT_EQ(stats.honest_bytes, 2u * (3u + 5u + 7u + 1u + 2u + 11u));
 }
 
 TEST(SyncNetwork, ByzantineBytesExcludedFromHonestMetric) {
@@ -280,6 +332,149 @@ TEST(SyncNetwork, TranscriptMetersSumToRunTotals) {
   for (const auto& round : transcript.rounds) sum += round.honest_bytes;
   EXPECT_EQ(sum, stats.honest_bytes);
   EXPECT_GE(transcript.rounds.size(), stats.rounds);
+}
+
+TEST(SyncNetwork, FiberKeepsItsOwnRoundingMode) {
+  // The floating-point control state is part of a fiber's context: a party
+  // that changes its rounding mode keeps it across advance(), and neither
+  // the other parties nor the caller see the change.
+  ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+  const auto third = [] {
+    volatile double one = 1.0;
+    volatile double three = 3.0;
+    return one / three;
+  };
+  const double nearest = third();
+  double upward_in_fiber = 0.0;
+  int mode_after_advance = -1;
+  int mode_of_other = -1;
+  SyncNetwork net(2, 0);
+  net.set_honest(0, [&](PartyContext& ctx) {
+    std::fesetround(FE_UPWARD);
+    (void)ctx.advance();
+    (void)ctx.advance();
+    mode_after_advance = std::fegetround();
+    upward_in_fiber = third();
+  });
+  net.set_honest(1, [&](PartyContext& ctx) {
+    (void)ctx.advance();
+    mode_of_other = std::fegetround();
+    (void)ctx.advance();
+  });
+  (void)net.run();
+  EXPECT_EQ(mode_after_advance, FE_UPWARD);
+  EXPECT_GT(upward_in_fiber, nearest);  // MXCSR switched with the fiber
+  EXPECT_EQ(mode_of_other, FE_TONEAREST);
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+  EXPECT_EQ(third(), nearest);
+}
+
+// Touches `depth` frames of 16 KiB each, so depth 32 uses about 512 KiB
+// of a 1 MiB fiber stack; the deepest frame crosses a round barrier.
+std::uint64_t burn_stack(PartyContext& ctx, int depth) {
+  volatile unsigned char frame[16 * 1024];
+  frame[0] = static_cast<unsigned char>(depth);
+  frame[sizeof frame - 1] = frame[0];
+  if (depth == 0) {
+    (void)ctx.advance();
+    return frame[sizeof frame - 1];
+  }
+  return burn_stack(ctx, depth - 1) + frame[0] + frame[sizeof frame - 1];
+}
+
+TEST(SyncNetwork, ReusedFiberStackHoldsDeepFrames) {
+  const auto run_deep = [] {
+    std::uint64_t sum = 0;
+    SyncNetwork net(3, 0);
+    for (int id = 0; id < 3; ++id) {
+      net.set_honest(id, [&sum, id](PartyContext& ctx) {
+        if (id == 1) sum = burn_stack(ctx, 32);
+        (void)ctx.advance();
+      });
+    }
+    const RunStats stats = net.run();
+    EXPECT_EQ(stats.rounds, 2u);
+    return sum;
+  };
+  // The first run leaves its stacks on this thread's free list; the
+  // second takes them back with the first run's frames still written.
+  const std::uint64_t first = run_deep();
+  EXPECT_EQ(run_deep(), first);
+  EXPECT_EQ(first, 2u * (32u * 33u / 2u));
+}
+
+TEST(SyncNetwork, RunAfterThrowingAndTimedOutRunsMatchesAFreshOne) {
+  struct Result {
+    Transcript transcript;
+    RunStats stats;
+    std::vector<std::uint64_t> outputs;
+  };
+  const auto clean_run = [] {
+    Result res;
+    res.outputs.assign(4, 0);
+    SyncNetwork net(4, 1);
+    net.set_transcript(&res.transcript);
+    net.set_byzantine(3, std::make_shared<adv::Garbage>());
+    for (int id = 0; id < 3; ++id) {
+      net.set_honest(id, [&res, id](PartyContext& ctx) {
+        auto p = ctx.phase("echo");
+        std::uint64_t acc = 0;
+        for (int r = 0; r < 5; ++r) {
+          ctx.send_all(Bytes{static_cast<std::uint8_t>(id * 8 + r)});
+          for (const auto& e : ctx.advance()) {
+            acc = acc * 131 + e.payload.size() + static_cast<unsigned>(e.from);
+          }
+        }
+        res.outputs[static_cast<std::size_t>(id)] = acc;
+      });
+    }
+    res.stats = net.run();
+    return res;
+  };
+  Result fresh;
+  std::thread([&] { fresh = clean_run(); }).join();  // empty free list
+
+  {  // A party throws mid-run; a protocol-level catch inside a fiber too.
+    SyncNetwork net(3, 0);
+    net.set_honest(0, [](PartyContext& ctx) {
+      auto p = ctx.phase("doomed");
+      (void)ctx.advance();
+      throw Error("boom");
+    });
+    for (int id = 1; id < 3; ++id) {
+      net.set_honest(id, [](PartyContext& ctx) {
+        try {
+          auto p = ctx.phase("caught");
+          throw Error("handled in the protocol");
+        } catch (const Error&) {
+        }
+        for (;;) (void)ctx.advance();
+      });
+    }
+    EXPECT_THROW(net.run(), Error);
+  }
+  {  // Every party loops until max_rounds aborts the run.
+    SyncNetwork net(3, 0);
+    for (int id = 0; id < 3; ++id) {
+      net.set_honest(id, [](PartyContext& ctx) {
+        auto p = ctx.phase("forever");
+        for (;;) {
+          ctx.send_all(Bytes{1});
+          (void)ctx.advance();
+        }
+      });
+    }
+    EXPECT_THROW(net.run(/*max_rounds=*/20), Error);
+  }
+  const Result again = clean_run();
+  EXPECT_EQ(again.transcript, fresh.transcript);
+  EXPECT_EQ(again.outputs, fresh.outputs);
+  EXPECT_EQ(again.stats.rounds, fresh.stats.rounds);
+  EXPECT_EQ(again.stats.honest_bytes, fresh.stats.honest_bytes);
+  EXPECT_EQ(again.stats.bytes_by_party, fresh.stats.bytes_by_party);
+  EXPECT_EQ(again.stats.honest_bytes_by_phase,
+            fresh.stats.honest_bytes_by_phase);
+  EXPECT_EQ(again.stats.phase_breakdown, fresh.stats.phase_breakdown);
 }
 
 TEST(SyncNetwork, ThreadWindowIsRejectedEverywhere) {
